@@ -1,5 +1,6 @@
-// Command dpmg-bench regenerates the experiment tables E1–E10 defined in
-// DESIGN.md, the empirical analogues of the paper's theorem-level claims.
+// Command dpmg-bench regenerates the experiment tables E1–E16 defined in
+// internal/experiment, the empirical analogues of the paper's
+// theorem-level claims.
 // With -ingest it instead becomes a load generator for a dpmg-server
 // streaming ingest listener (-ingest-addr), pushing pipelined binary item
 // frames and reporting sustained items/second.

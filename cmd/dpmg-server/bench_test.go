@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -360,7 +362,10 @@ func BenchmarkServerStreamIngest(b *testing.B) {
 // TCP connection (keep-alive) instead of the in-process httptest mux.
 // The delta between this row and BenchmarkServerStreamIngest, after
 // subtracting the shared decode+sketch work both pay, is the per-batch
-// protocol overhead the binary datapath removes.
+// protocol overhead the binary datapath removes. Every response body is
+// drained before close, or the transport drops the connection and each
+// batch pays a dial; after the warm-up request, a request that does not
+// reuse the connection fails the benchmark.
 func BenchmarkServerHTTPIngestE2E(b *testing.B) {
 	const d = 1 << 16
 	s, err := newServer(256, d, dpmg.Budget{Eps: 1, Delta: 0.5})
@@ -375,17 +380,37 @@ func BenchmarkServerHTTPIngestE2E(b *testing.B) {
 	}
 	raw := body.Bytes()
 	client := ts.Client()
-	b.SetBytes(int64(len(raw)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := client.Post(ts.URL+"/v1/batch", "application/octet-stream", bytes.NewReader(raw))
+	var reused bool
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) { reused = info.Reused },
+	})
+	post := func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/batch", bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		resp, err := client.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 		if err != nil {
 			b.Fatal(err)
 		}
 		if resp.StatusCode != http.StatusAccepted {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
-		resp.Body.Close()
+	}
+	post() // warm-up: dials the one connection every timed request reuses
+	b.SetBytes(int64(len(raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+		if !reused {
+			b.Fatal("request dialed a new connection instead of reusing the keep-alive one")
+		}
 	}
 }

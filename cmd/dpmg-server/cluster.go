@@ -285,8 +285,6 @@ func appendClusterMetrics(s *server, buf *bytes.Buffer) {
 		row("dpmg_cluster_deduped_total", stats.Deduped)
 		header("dpmg_cluster_edges", "Edges that have ever said hello.", "gauge")
 		row("dpmg_cluster_edges", int64(len(stats.Edges)))
-		header("dpmg_cluster_fold_lanes", "Per-stream fold lanes (folds for different streams proceed in parallel across lanes).", "gauge")
-		row("dpmg_cluster_fold_lanes", int64(stats.Lanes))
 		edgeRow := func(name, edge string, v int64) {
 			buf.WriteString(name)
 			buf.WriteString(`{edge=`)

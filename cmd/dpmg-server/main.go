@@ -206,8 +206,9 @@ func main() {
 	s.drainGrace = *grace
 	s.pprof = *pprofOn
 	if *pprofOn {
-		// A sampled mutex profile is the instrument the fold-lane work is
-		// judged by; it is cheap enough to leave on for a profiling session.
+		// A sampled mutex profile shows whether the root's one fold mutex
+		// (or any other lock) is contended; it is cheap enough to leave on
+		// for a profiling session.
 		runtime.SetMutexProfileFraction(16)
 		log.Printf("pprof mounted on /debug/pprof/ (operator-only)")
 	}

@@ -954,9 +954,8 @@ func (s *server) saveState(dir string) error {
 	}
 	// On a root, the dedup table and the manager snapshot must describe
 	// the same fold set, so folds are quiesced (SnapshotSeqs holds the
-	// lane gate exclusively, stalling every fold lane) across the table
-	// capture AND the snapshot
-	// write. Without the quiesce, a fold landing between the two captures
+	// root's fold mutex) across the table capture AND the snapshot write.
+	// Without the quiesce, a fold landing between the two captures
 	// would be in one but not the other: table-newer means an edge re-ship
 	// is refused as a duplicate after its fold was lost (silent loss), and
 	// snapshot-newer means a fold whose ack dies with a power cut is

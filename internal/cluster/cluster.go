@@ -32,13 +32,11 @@
 // folded) and re-ships whatever its spool still holds; duplicates are
 // absorbed, gaps cannot occur, and no summary is folded twice.
 //
-// The ordering this contract fixes is per-stream: the root routes folds
-// through per-stream fold lanes (Root), so the dedup check and the fold it
-// guards are atomic within a stream while folds for different streams
-// proceed in parallel. No total fold order across streams exists — and
-// none is needed, because streams are independent sketches and a release
-// reads exactly one of them: replaying each stream's fold sequence
-// serially reproduces the root's release bytes exactly.
+// The root runs every dedup check and the fold it guards under one fold
+// mutex (Root), so folds land in one total order. Release bytes depend
+// only on each stream's own fold sequence, since streams are independent
+// sketches and a release reads exactly one of them: replaying the root's
+// folds serially reproduces its release bytes exactly.
 //
 // # Failover
 //

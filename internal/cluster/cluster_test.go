@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,10 +37,8 @@ func testManager(t testing.TB) *dpmg.Manager {
 }
 
 // foldLog records the root's folds for differential replay. Hooks run
-// under the folded stream's lane, so for any one stream the log's
-// subsequence is that stream's exact fold order — the order the twin
-// replays; the interleaving *across* streams is arbitrary and irrelevant
-// (streams are independent).
+// under the root's fold mutex, so the log is the root's exact fold order —
+// the order the twin replays.
 type foldLog struct {
 	mu    sync.Mutex
 	folds []loggedFold
@@ -93,16 +92,18 @@ func startRoot(t testing.TB, mgr *dpmg.Manager, log *foldLog) (*Root, string, fu
 	if log != nil {
 		cfg.FoldHook = log.hook
 	}
-	return startRootCfg(t, cfg)
-}
-
-// startRootCfg is startRoot with full config control (lane counts, hooks).
-func startRootCfg(t testing.TB, cfg RootConfig) (*Root, string, func()) {
-	t.Helper()
 	root, err := NewRoot(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr, stop := serveRoot(t, root)
+	return root, addr, stop
+}
+
+// serveRoot serves an already-built Root on a loopback listener, returning
+// its address and a stopper.
+func serveRoot(t testing.TB, root *Root) (string, func()) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +113,7 @@ func startRootCfg(t testing.TB, cfg RootConfig) (*Root, string, func()) {
 		defer close(done)
 		root.Serve(ln) //nolint:errcheck // shutdown closes the listener
 	}()
-	return root, ln.Addr().String(), func() { root.Shutdown(); <-done }
+	return ln.Addr().String(), func() { root.Shutdown(); <-done }
 }
 
 // dialConn connects and says hello as edge id.
@@ -430,7 +431,10 @@ func TestRootRestartResumesDedup(t *testing.T) {
 	if err := rootMgr.Snapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := root.SaveSeqs(&seqs); err != nil {
+	if err := root.SnapshotSeqs(func(table []byte) error {
+		_, err := seqs.Write(table)
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	stop()
@@ -476,6 +480,96 @@ func TestRootRestartResumesDedup(t *testing.T) {
 	}
 	if got := root2.Stats(); got.Folded != 1 || got.Deduped != 1 {
 		t.Fatalf("restarted root folded %d / deduped %d, want 1 / 1", got.Folded, got.Deduped)
+	}
+}
+
+// TestRootSeqTableFormat pins the persisted dedup table, which is the
+// root's in-memory table verbatim: a table in the edge → stream → seq JSON
+// shape loads and answers seq-queries and duplicate re-ships, the hostile
+// empty and null shapes load and accept later folds, and after a fixed fold
+// sequence SnapshotSeqs emits exactly the committed bytes.
+func TestRootSeqTableFormat(t *testing.T) {
+	type ship struct {
+		edge, stream string
+		seq          uint64
+		last         uint64 // the seq-query answer just before the ship
+		want         framing.AckCode
+	}
+	ok, dup := framing.AckOK, framing.AckDuplicate
+	firstFold := []ship{{"e", "s", 1, 0, ok}, {"e", "s", 1, 1, dup}}
+	firstFoldTable := `{"seqs":{"e":{"s":1}}}` + "\n"
+	cases := []struct {
+		name  string
+		table string // loaded before Serve; empty means a fresh root
+		ships []ship
+		want  string // the SnapshotSeqs bytes after the ships
+	}{
+		{
+			name: "fresh",
+			ships: []ship{
+				{"edge-b", "s", 1, 0, ok}, {"edge-a", "t", 4, 0, ok}, {"edge-a", "s", 2, 0, ok},
+				{"edge-b", "s", 1, 1, dup}, {"edge-a", "s", 3, 2, ok}, {"edge-a", "t", 4, 4, dup},
+			},
+			want: `{"seqs":{"edge-a":{"s":3,"t":4},"edge-b":{"s":1}}}` + "\n",
+		},
+		{
+			name:  "persisted",
+			table: `{"seqs":{"edge-1":{"s":5,"t":2},"edge-2":{"s":1}}}` + "\n",
+			ships: []ship{
+				{"edge-1", "s", 5, 5, dup}, {"edge-1", "s", 3, 5, dup}, {"edge-1", "t", 2, 2, dup},
+				{"edge-2", "s", 1, 1, dup}, {"edge-1", "s", 6, 5, ok}, {"edge-2", "t", 1, 0, ok},
+			},
+			want: `{"seqs":{"edge-1":{"s":6,"t":2},"edge-2":{"s":1,"t":1}}}` + "\n",
+		},
+		{name: "empty object", table: `{}`, ships: firstFold, want: firstFoldTable},
+		{name: "null table", table: `{"seqs":null}`, ships: firstFold, want: firstFoldTable},
+		{name: "null edge row", table: `{"seqs":{"e":null}}`, ships: firstFold, want: firstFoldTable},
+	}
+	sum := testSummary(t, 64, []stream.Item{3}, []int64{2})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root, err := NewRoot(RootConfig{Manager: testManager(t), AutoCreate: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.table != "" {
+				if err := root.LoadSeqs(strings.NewReader(tc.table)); err != nil {
+					t.Fatalf("LoadSeqs(%s): %v", tc.table, err)
+				}
+			}
+			addr, stop := serveRoot(t, root)
+			defer stop()
+			conns := make(map[string]*Conn)
+			defer func() {
+				for _, c := range conns {
+					c.Close()
+				}
+			}()
+			for _, s := range tc.ships {
+				c := conns[s.edge]
+				if c == nil {
+					c = dialConn(t, addr, s.edge)
+					conns[s.edge] = c
+				}
+				if last, err := c.LastSeq(s.stream); err != nil || last != s.last {
+					t.Fatalf("%s LastSeq(%s) = (%d, %v), want %d", s.edge, s.stream, last, err, s.last)
+				}
+				ack := mustShip(t, c, s.stream, s.seq, sum, s.want)
+				if want := max(s.seq, s.last); ack.Info != want {
+					t.Fatalf("%s ship %s/%d: ack info %d, want %d", s.edge, s.stream, s.seq, ack.Info, want)
+				}
+			}
+			var got []byte
+			if err := root.SnapshotSeqs(func(table []byte) error {
+				got = append(got, table...)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != tc.want {
+				t.Fatalf("SnapshotSeqs = %q, want %q", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -574,17 +668,14 @@ func benchSummary(b *testing.B) *merge.Summary {
 
 // BenchmarkClusterFanIn measures root fold throughput over real loopback
 // connections — the summaries-folded-per-second rows of BENCH_core.json.
-// "single" is one edge shipping into one stream, the pre-lane shape kept as
-// the serial-path regression guard. "parallel" is one connection per worker
-// folding into its own stream on the default lane table; "serial" applies
-// the same load to a single-lane root, the lock-convoy baseline the striped
-// default is measured against. Run with -cpu 1,4,8 to see the scaling
-// curve: the lanes only pay off when GOMAXPROCS and the worker count rise
-// together.
+// "single" is one edge shipping into one stream, the serial-path
+// regression guard. "parallel" is one connection per worker folding into
+// its own stream; every fold takes the root's one fold mutex, so with
+// -cpu 1,4,8 the curve shows how much of a fold runs outside it (decode,
+// framing, the ack round trip).
 func BenchmarkClusterFanIn(b *testing.B) {
 	b.Run("single", benchFanInSingle)
-	b.Run("parallel", func(b *testing.B) { benchFanInWorkers(b, 0) })
-	b.Run("serial", func(b *testing.B) { benchFanInWorkers(b, 1) })
+	b.Run("parallel", benchFanInWorkers)
 }
 
 func benchFanInSingle(b *testing.B) {
@@ -617,12 +708,10 @@ func benchFanInSingle(b *testing.B) {
 }
 
 // benchFanInWorkers drives one connection per parallel worker, each edge
-// folding into its own stream — the multi-edge fleet shape the fold lanes
-// exist for. lanes = 0 uses the striped default; lanes = 1 serializes every
-// fold through one lane.
-func benchFanInWorkers(b *testing.B, lanes int) {
+// folding into its own stream — the multi-edge fleet shape.
+func benchFanInWorkers(b *testing.B) {
 	rootMgr := testManager(b)
-	_, addr, stop := startRootCfg(b, RootConfig{Manager: rootMgr, AutoCreate: true, Lanes: lanes})
+	_, addr, stop := startRoot(b, rootMgr, nil)
 	defer stop()
 	sum := benchSummary(b)
 	var workers atomic.Int64

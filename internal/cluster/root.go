@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,20 +16,14 @@ import (
 	"dpmg/internal/framing"
 )
 
-// FoldHook observes every successful fold, called with the stream's fold
-// lane held: for any one stream it sees folds in exactly the order they
-// landed (the per-stream fold order the differential twin replays), while
-// hooks for different streams may run concurrently. It exists for
-// differential testing — replaying each stream's hook sequence into a
-// single-process stream must reproduce the root's state. The summary is
-// the connection's reusable decode scratch: a hook that retains anything
-// must copy it before returning, and it must not call back into the root.
+// FoldHook observes every successful fold, called with the root's fold
+// mutex held: hooks see one total fold order, exactly the order folds
+// landed in, and never run concurrently. It exists for differential
+// testing — replaying the hook sequence into a single-process manager must
+// reproduce the root's state. The summary is the connection's reusable
+// decode scratch: a hook that retains anything must copy it before
+// returning, and it must not call back into the root.
 type FoldHook func(edge, stream string, seq uint64, sum *dpmg.MergeableSummary)
-
-// DefaultFoldLanes is the fold-lane count when RootConfig.Lanes is zero —
-// the same stripe default as the manager's registry, far above any
-// plausible core count so two hot streams rarely contend on a lane.
-const DefaultFoldLanes = 64
 
 // RootConfig configures a Root.
 type RootConfig struct {
@@ -46,36 +39,27 @@ type RootConfig struct {
 	Logf func(format string, args ...any)
 	// FoldHook, when set, observes every successful fold (tests).
 	FoldHook FoldHook
-	// Lanes is the fold-lane count (0 = DefaultFoldLanes). One lane
-	// serializes every fold — the measured baseline the striped default is
-	// benchmarked against, not a supported production shape.
-	Lanes int
 }
 
 // Root is the fan-in server: it accepts edge connections on the
 // aggregation-tier protocol (hello, summary, seq-query) and folds shipped
 // summaries into its manager's per-stream node tiers.
 //
-// Folds are routed to per-stream fold lanes: a lock-striped lane table
-// keyed by stream name (FNV-1a, cache-line padded — the internal/registry
-// idiom), so folds for different streams proceed in parallel while the
-// per-(edge, stream) high-water sequence check and the fold it guards stay
-// atomic within the stream's lane. The exactly-once invariant this
-// preserves is per-stream fold order — the only order that determines
-// release bytes, since streams are independent — rather than the total
-// fold order the original single-mutex root kept; the differential twin
-// replays per-stream order and must still match byte for byte.
+// Summary decode runs on the connection's goroutine, outside any lock; the
+// per-(edge, stream) high-water check, the manager fold and the high-water
+// advance run under one fold mutex, so folds land in one total order.
 type Root struct {
 	cfg RootConfig
 
-	// gate is the stop-the-world interlock over the lanes: every fold and
-	// seq-query holds the read side, and SnapshotSeqs/SaveSeqs/LoadSeqs
-	// hold the write side, quiescing all lanes at once so the dedup table
-	// and whatever is persisted beside it describe the same fold set.
-	// sync.RWMutex blocks new readers once a writer waits, so a snapshot
-	// cannot be starved by a busy fan-in.
-	gate  sync.RWMutex
-	lanes []foldLane
+	// mu is the fold mutex. It guards seqs, makes each dedup check atomic
+	// with the fold it admits, and lets SnapshotSeqs quiesce every fold so
+	// the table and whatever is persisted beside it describe the same fold
+	// set.
+	mu sync.Mutex
+	// seqs is the dedup table, edge → stream → last folded seq: the
+	// persisted JSON shape, so SnapshotSeqs and LoadSeqs encode and decode
+	// it directly. Inner maps may be nil after a load.
+	seqs map[string]map[string]uint64
 
 	// edgeMu guards the edges map only. Per-edge counters are atomics and
 	// a connection resolves its *edgeState once, at hello, so the fold
@@ -93,32 +77,6 @@ type Root struct {
 	wg    sync.WaitGroup
 }
 
-// foldLane is one stripe of the fold-routing table: it owns the dedup rows
-// (stream → edge → last folded seq) of every stream FNV-1a routes to it,
-// and its mutex makes the dedup check and the fold atomic for those
-// streams. Padding keeps neighboring lanes' mutexes off one cache line so
-// parallel folds do not false-share.
-type foldLane struct {
-	mu   sync.Mutex
-	seqs map[string]map[string]uint64 // stream → edge → last folded seq
-	_    [64 - 16]byte
-}
-
-// laneFor routes a stream name to its fold lane (FNV-1a, like the
-// registry's stripes — related names spread uniformly).
-func (r *Root) laneFor(stream string) *foldLane {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(stream); i++ {
-		h ^= uint64(stream[i])
-		h *= prime64
-	}
-	return &r.lanes[h%uint64(len(r.lanes))]
-}
-
 // edgeState is one edge's fan-in bookkeeping, all atomics: the fold path
 // updates it without locks and Stats/metrics read it without blocking any
 // fold.
@@ -134,23 +92,12 @@ func NewRoot(cfg RootConfig) (*Root, error) {
 	if cfg.Manager == nil {
 		return nil, fmt.Errorf("cluster: root requires a manager")
 	}
-	if cfg.Lanes < 0 {
-		return nil, fmt.Errorf("cluster: negative lane count %d", cfg.Lanes)
-	}
-	lanes := cfg.Lanes
-	if lanes == 0 {
-		lanes = DefaultFoldLanes
-	}
-	r := &Root{
+	return &Root{
 		cfg:   cfg,
-		lanes: make([]foldLane, lanes),
+		seqs:  make(map[string]map[string]uint64),
 		edges: make(map[string]*edgeState),
 		conns: make(map[net.Conn]struct{}),
-	}
-	for i := range r.lanes {
-		r.lanes[i].seqs = make(map[string]map[string]uint64)
-	}
-	return r, nil
+	}, nil
 }
 
 // logf logs through the configured sink, if any.
@@ -324,11 +271,10 @@ func (r *Root) hello(curEdge string, curSt *edgeState, id string, seq uint32) (s
 }
 
 // fold decodes and folds one shipped summary, advancing the (edge, stream)
-// high-water sequence exactly when the fold succeeds. The gate's read side
-// spans the dedup check, the manager fold, and the high-water advance, so
-// a snapshot (write side) observes every fold either fully applied in both
-// captures or in neither; within the gate, the stream's lane serializes
-// this fold against others for the same stream only.
+// high-water sequence exactly when the fold succeeds. The fold mutex spans
+// the dedup check, the manager fold, and the high-water advance, so a
+// snapshot observes every fold either fully applied in both captures or in
+// neither.
 func (r *Root) fold(edge string, est *edgeState, dec *SummaryDecoder, payload []byte, frameSeq uint32) framing.Ack {
 	ack := framing.Ack{Seq: frameSeq}
 	name, seq, wrapped, err := dec.Decode(payload)
@@ -336,12 +282,9 @@ func (r *Root) fold(edge string, est *edgeState, dec *SummaryDecoder, payload []
 		ack.Code, ack.Msg = framing.AckBadFrame, err.Error()
 		return ack
 	}
-	r.gate.RLock()
-	defer r.gate.RUnlock()
-	ln := r.laneFor(name)
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	last := ln.seqs[name][edge]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	last := r.seqs[edge][name]
 	if seq <= last {
 		// Already folded (a re-ship after an edge restart, or a retry whose
 		// original ack was lost). Success-class: the shipper discards its
@@ -371,12 +314,12 @@ func (r *Root) fold(edge string, est *edgeState, dec *SummaryDecoder, payload []
 		}
 		return ack
 	}
-	edges := ln.seqs[name]
-	if edges == nil {
-		edges = make(map[string]uint64)
-		ln.seqs[name] = edges
+	streams := r.seqs[edge]
+	if streams == nil {
+		streams = make(map[string]uint64)
+		r.seqs[edge] = streams
 	}
-	edges[edge] = seq
+	streams[name] = seq
 	r.folded.Add(1)
 	est.folded.Add(1)
 	est.lastFold.Store(time.Now().UnixNano())
@@ -390,12 +333,9 @@ func (r *Root) fold(edge string, est *edgeState, dec *SummaryDecoder, payload []
 // lastSeq answers a seq-query: the highest folded sequence for (edge,
 // stream), in the ack's info field.
 func (r *Root) lastSeq(edge, stream string, frameSeq uint32) framing.Ack {
-	r.gate.RLock()
-	defer r.gate.RUnlock()
-	ln := r.laneFor(stream)
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	return framing.Ack{Seq: frameSeq, Info: ln.seqs[stream][edge]}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return framing.Ack{Seq: frameSeq, Info: r.seqs[edge][stream]}
 }
 
 // RootStats is a point-in-time description of the fan-in tier.
@@ -403,8 +343,6 @@ type RootStats struct {
 	// Folded and Deduped count summaries folded and duplicate sequences
 	// refused since process start.
 	Folded, Deduped int64
-	// Lanes is the configured fold-lane count.
-	Lanes int
 	// Edges describes every edge that has ever said hello, sorted by name.
 	Edges []EdgeStats
 }
@@ -424,10 +362,10 @@ type EdgeStats struct {
 }
 
 // Stats returns the root's current fan-in stats. It reads only atomics and
-// the edges map, never the lanes or the gate, so a scrape cannot stall a
-// fold (and a slow fold cannot stall a scrape).
+// the edges map, never the fold mutex, so a scrape cannot stall a fold
+// (and a slow fold cannot stall a scrape).
 func (r *Root) Stats() RootStats {
-	out := RootStats{Folded: r.folded.Load(), Deduped: r.deduped.Load(), Lanes: len(r.lanes)}
+	out := RootStats{Folded: r.folded.Load(), Deduped: r.deduped.Load()}
 	r.edgeMu.Lock()
 	for name, st := range r.edges {
 		es := EdgeStats{
@@ -445,45 +383,15 @@ func (r *Root) Stats() RootStats {
 }
 
 // seqTable is the JSON shape of the persisted dedup table: edge → stream →
-// seq, the shape PR 7 persisted — lanes are an in-memory layout, not a wire
-// one, so tables written by a single-mutex root load unchanged.
+// seq. Root.seqs holds exactly this map, so the file format is the
+// in-memory table.
 type seqTable struct {
 	Seqs map[string]map[string]uint64 `json:"seqs"`
 }
 
-// captureSeqs merges the lanes' dedup rows into the persisted edge-major
-// shape. Callers must hold the gate write side, which quiesces every lane.
-func (r *Root) captureSeqs() map[string]map[string]uint64 {
-	out := make(map[string]map[string]uint64)
-	for i := range r.lanes {
-		for stream, edges := range r.lanes[i].seqs {
-			for edge, seq := range edges {
-				m := out[edge]
-				if m == nil {
-					m = make(map[string]uint64)
-					out[edge] = m
-				}
-				m[stream] = seq
-			}
-		}
-	}
-	return out
-}
-
-// SaveSeqs writes the (edge, stream) → last-folded-seq table as JSON. The
-// server persists it next to the manager snapshot: restoring both together
-// resumes the exactly-once contract across a root restart. Callers who
-// pair the table with a manager snapshot should use SnapshotSeqs instead,
-// which captures both at the same quiesce point.
-func (r *Root) SaveSeqs(w io.Writer) error {
-	r.gate.Lock()
-	defer r.gate.Unlock()
-	return json.NewEncoder(w).Encode(seqTable{Seqs: r.captureSeqs()})
-}
-
-// SnapshotSeqs captures the dedup table and invokes save with the lane
-// gate held exclusively — a stop-the-world quiesce of every fold lane — so
-// no fold can land between the table capture and whatever save persists
+// SnapshotSeqs encodes the (edge, stream) → last-folded-seq table and
+// invokes save with the fold mutex held — a quiesce of every fold — so no
+// fold can land between the table capture and whatever save persists
 // beside it (the manager snapshot): the two always describe the same fold
 // set. Capturing them without the quiesce leaves a power-loss window: a
 // fold landing between the captures is in the snapshot but not the table,
@@ -497,37 +405,27 @@ func (r *Root) SaveSeqs(w io.Writer) error {
 // snapshot first so that direction only re-folds a fold whose ack was
 // also lost in transit — never silently drops one.
 func (r *Root) SnapshotSeqs(save func(table []byte) error) error {
-	r.gate.Lock()
-	defer r.gate.Unlock()
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(seqTable{Seqs: r.captureSeqs()}); err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	table, err := json.Marshal(seqTable{Seqs: r.seqs})
+	if err != nil {
 		return err
 	}
-	return save(buf.Bytes())
+	return save(append(table, '\n'))
 }
 
-// LoadSeqs restores a SaveSeqs table, distributing its rows across the
-// fold lanes (replacing their contents). Call it at startup, before Serve.
+// LoadSeqs restores a SnapshotSeqs table, replacing the current one. Call
+// it at startup, before Serve.
 func (r *Root) LoadSeqs(rd io.Reader) error {
 	var t seqTable
 	if err := json.NewDecoder(rd).Decode(&t); err != nil {
 		return err
 	}
-	r.gate.Lock()
-	defer r.gate.Unlock()
-	for i := range r.lanes {
-		r.lanes[i].seqs = make(map[string]map[string]uint64)
+	if t.Seqs == nil {
+		t.Seqs = make(map[string]map[string]uint64)
 	}
-	for edge, streams := range t.Seqs {
-		for name, seq := range streams {
-			ln := r.laneFor(name)
-			edges := ln.seqs[name]
-			if edges == nil {
-				edges = make(map[string]uint64)
-				ln.seqs[name] = edges
-			}
-			edges[edge] = seq
-		}
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.seqs = t.Seqs
 	return nil
 }

@@ -12,16 +12,16 @@ import (
 	"dpmg/internal/stream"
 )
 
-// TestRootParallelFoldStress drives the laned root with a hostile parallel
-// fleet — 4 edges × 3 streams over real connections, in-order ships
-// interleaved with exact-duplicate and below-high-water re-ships — while a
-// concurrent snapshot loop exercises the stop-the-world gate. The outcome
-// is pinned three ways: exact fold and dedup counts, per-(edge, stream)
-// high-water marks (seq queries and the persisted table), and
-// byte-identical releases against a single-process twin that replays each
-// stream's fold order serially. The snapshot callback additionally asserts
-// the quiesce: no fold may land while the save runs, because folds bump the
-// counter under the gate's read side and the save holds the write side.
+// TestRootParallelFoldStress drives the root with a hostile parallel fleet
+// — 4 edges × 3 streams over real connections, in-order ships interleaved
+// with exact-duplicate and below-high-water re-ships — while a concurrent
+// snapshot loop exercises the fold-mutex quiesce. The outcome is pinned
+// three ways: exact fold and dedup counts, per-(edge, stream) high-water
+// marks (seq queries and the persisted table), and byte-identical releases
+// against a single-process twin that replays the root's fold order
+// serially. The snapshot callback additionally asserts the quiesce: no fold
+// may land while the save runs, because folds bump the counter under the
+// fold mutex and the save holds it.
 // CI runs this under -race -count=3 in the cluster failover stress step.
 func TestRootParallelFoldStress(t *testing.T) {
 	const (
@@ -178,8 +178,8 @@ func TestRootParallelFoldStress(t *testing.T) {
 	}
 
 	// The differential pin: each stream's release at the root must be
-	// byte-identical (same seed) to a serial single-process replay of that
-	// stream's fold order.
+	// byte-identical (same seed) to a serial single-process replay of the
+	// root's fold order.
 	twin := log.twin(t)
 	for s := 0; s < streams; s++ {
 		assertSameRelease(t, rootMgr, twin, fmt.Sprintf("st-%d", s), 42)
@@ -189,7 +189,7 @@ func TestRootParallelFoldStress(t *testing.T) {
 // TestFoldSteadyStateAllocs pins the zero-alloc fold path: after warm-up, a
 // fold costs at most the two allocations of the published aggregate
 // (CloneCompact's combined column block and its summary header). The
-// decoder scratch, the wrapped summary, the lane lookup, the merge, and the
+// decoder scratch, the wrapped summary, the dedup lookup, the merge, and the
 // per-edge counters all reuse connection- and stream-owned storage.
 func TestFoldSteadyStateAllocs(t *testing.T) {
 	rootMgr := testManager(t)
@@ -223,7 +223,7 @@ func TestFoldSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	// Warm-up: stream auto-create, decoder scratch growth, merger scratch,
-	// and the lane's dedup row all allocate once, up front.
+	// and the edge's dedup row all allocate once, up front.
 	for i := 0; i < 8; i++ {
 		foldOnce()
 	}

@@ -1,9 +1,9 @@
-// Package experiment regenerates every experiment table defined in
-// DESIGN.md (E1–E10). The paper is a theory contribution with no empirical
-// evaluation section, so each "table" here is the empirical analogue of a
-// theorem-level claim: measured error, sensitivity, privacy loss, or
-// throughput against the stated bound, and measured comparisons against
-// every baseline the paper discusses. EXPERIMENTS.md records the outcomes.
+// Package experiment regenerates the experiment tables E1–E16, each
+// defined by its runner in this package. The paper is a theory
+// contribution with no empirical evaluation section, so each "table" here
+// is the empirical analogue of a theorem-level claim: measured error,
+// sensitivity, privacy loss, or throughput against the stated bound, and
+// measured comparisons against every baseline the paper discusses.
 package experiment
 
 import (
@@ -16,7 +16,7 @@ import (
 // Config controls experiment scale.
 type Config struct {
 	// Quick shrinks stream lengths and trial counts so the full suite runs
-	// in seconds (used by tests); the full-size runs back EXPERIMENTS.md.
+	// in seconds (used by tests).
 	Quick bool
 	// Seed makes every experiment deterministic.
 	Seed uint64

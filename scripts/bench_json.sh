@@ -49,13 +49,12 @@ run ./cmd/dpmg-server 'BenchmarkServerBatchIngest$|BenchmarkServerRelease$|Bench
 # the per-batch protocol overhead comparison the datapath exists to win.
 run ./cmd/dpmg-server 'BenchmarkServerStreamIngest$|BenchmarkServerHTTPIngestE2E$'
 # Aggregation tier: summary fan-in throughput at the root (summaries
-# folded per second over loopback edge connections). Three shapes — single
-# (one edge, one stream: the serial-path regression guard), parallel (one
-# worker per connection, per-worker streams, default fold lanes), and
-# serial (the same parallel load through a single fold lane, the
-# lock-convoy baseline) — each swept over -cpu 1,4,8 so the artifact
-# records the lane scaling curve; the awk below keeps the GOMAXPROCS
-# suffix as the "cpus" field, so the sweep produces distinct rows.
+# folded per second over loopback edge connections). Two shapes — single
+# (one edge, one stream: the serial-path regression guard) and parallel
+# (one worker per connection, per-worker streams, all folding under the
+# root's one fold mutex) — each swept over -cpu 1,4,8 so the artifact
+# records the scaling curve; the awk below keeps the GOMAXPROCS suffix as
+# the "cpus" field, so the sweep produces distinct rows.
 run ./internal/cluster 'BenchmarkClusterFanIn' -cpu=1,4,8
 
 # The streaming-datapath and fan-in rows are the acceptance evidence for
@@ -63,7 +62,7 @@ run ./internal/cluster 'BenchmarkClusterFanIn' -cpu=1,4,8
 # silently drops one of these benchmarks must fail the bench job, not
 # produce a quietly thinner artifact.
 for required in BenchmarkServerStreamIngest BenchmarkServerHTTPIngestE2E BenchmarkServerBatchIngest \
-                BenchmarkClusterFanIn/single BenchmarkClusterFanIn/parallel BenchmarkClusterFanIn/serial \
+                BenchmarkClusterFanIn/single BenchmarkClusterFanIn/parallel \
                 BenchmarkEstimateUnderIngest/published BenchmarkEstimateUnderIngest/locked \
                 BenchmarkFaultIn BenchmarkOffloadRecord/fixed BenchmarkOffloadRecord/delta; do
   if ! grep -q "^${required}" "$TMP"; then

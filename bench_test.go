@@ -128,7 +128,7 @@ func BenchmarkRelease(b *testing.B) {
 	p := Params{Eps: 1, Delta: 1e-6}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sk.Release(p, uint64(i)); err != nil {
+		if _, err := Release(sk, p, WithMechanism(MechanismLaplace), WithSeed(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
 	}

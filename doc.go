@@ -73,9 +73,9 @@
 //	gaussian   N(0, sigma^2) with       single-stream, merged,     merged/sharded/user sketches:
 //	           sigma ~ sqrt(k)/eps      user-level                 sqrt(k) beats k/eps at large k
 //
-// The per-type Release* methods predate this API and survive as thin
-// deprecated wrappers; a release through either path is byte-identical
-// under the same seed.
+// Release and ReleaseDetailed are the only release entry points;
+// StringSketch.ReleaseTop runs Release and maps items back to strings.
+// The same seed yields the same histogram.
 //
 // # Budget accounting
 //

@@ -92,39 +92,6 @@ func (s *Sketch) ReleaseView() (*ReleaseView, error) {
 	}, nil
 }
 
-// Release releases the sketch under (eps, delta)-differential privacy using
-// the paper's Algorithm 2. With probability 1-beta every estimate is within
-// 2·ln((k+1)/beta)/eps above the sketch value and within that plus
-// 1 + 2·ln(3/delta)/eps below it; elements never seen are never released.
-// The same seed yields the same release; never release twice with
-// different seeds unless you account for composition.
-//
-// Deprecated: use Release(s, p, WithSeed(seed)), which this wraps
-// byte-identically and which also supports WithAccountant metering.
-func (s *Sketch) Release(p Params, seed uint64) (Histogram, error) {
-	return Release(s, p, WithMechanism(MechanismLaplace), WithSeed(seed))
-}
-
-// ReleaseGeometric is Release with two-sided geometric (discrete) noise, the
-// Section 5.2 variant recommended for deployments worried about
-// floating-point attacks. Released values are integers.
-//
-// Deprecated: use Release(s, p, WithMechanism("geometric"), WithSeed(seed)).
-func (s *Sketch) ReleaseGeometric(p Params, seed uint64) (Histogram, error) {
-	return Release(s, p, WithMechanism(MechanismGeometric), WithSeed(seed))
-}
-
-// ReleasePure releases the sketch under pure eps-differential privacy via
-// the Section 6 pipeline: the sensitivity-reduction post-processing
-// (Algorithm 3) followed by Laplace(2/eps) noise on every universe element
-// and a top-k cut. Error n/(k+1) + O(log(d)/eps); runtime Theta(d).
-//
-// Deprecated: use Release(s, Params{Eps: eps}, WithMechanism("pure"),
-// WithSeed(seed)).
-func (s *Sketch) ReleasePure(eps float64, seed uint64) (Histogram, error) {
-	return Release(s, Params{Eps: eps}, WithMechanism(MechanismPure), WithSeed(seed))
-}
-
 // Summary extracts the mergeable non-private summary (positive real-item
 // counters only) for distributed aggregation; see MergeSummaries.
 func (s *Sketch) Summary() (*MergeableSummary, error) {
@@ -171,14 +138,6 @@ func (s *StandardSketch) ReleaseView() (*ReleaseView, error) {
 			Standard: true,
 		},
 	}, nil
-}
-
-// Release releases under (eps, delta)-DP with the Section 5.1 threshold
-// 1 + 2·ln((k+1)/(2·delta))/eps.
-//
-// Deprecated: use Release(s, p, WithSeed(seed)).
-func (s *StandardSketch) Release(p Params, seed uint64) (Histogram, error) {
-	return Release(s, p, WithMechanism(MechanismLaplace), WithSeed(seed))
 }
 
 // MergeableSummary is a non-private mergeable Misra-Gries summary
@@ -321,28 +280,6 @@ func (m *SummaryMerger) MergeAll(summaries []*MergeableSummary) (*MergeableSumma
 	return &m.out, nil
 }
 
-// Release privatizes a (possibly merged) summary with noise calibrated to
-// the merged sensitivity of Corollary 18 (up to k counters differ by one):
-// Laplace(k/eps) per counter plus a k-scaled threshold. The noise is
-// independent of how many summaries were merged. For a single unmerged
-// sketch prefer the single-stream laplace release, whose noise is O(1/eps).
-//
-// Deprecated: use Release(s, p, WithMechanism("laplace"), WithSeed(seed)).
-func (s *MergeableSummary) Release(p Params, seed uint64) (Histogram, error) {
-	return Release(s, p, WithMechanism(MechanismLaplace), WithSeed(seed))
-}
-
-// ReleaseGaussian privatizes the summary with the Gaussian Sparse Histogram
-// Mechanism calibrated by the exact Theorem 23 analysis with l = k, which
-// scales with sqrt(k) instead of k. Prefer this over the laplace release
-// for large k.
-//
-// Deprecated: use Release(s, p, WithSeed(seed)) — gaussian is the default
-// mechanism for merged summaries.
-func (s *MergeableSummary) ReleaseGaussian(p Params, seed uint64) (Histogram, error) {
-	return Release(s, p, WithMechanism(MechanismGaussian), WithSeed(seed))
-}
-
 // MergeReleased merges two already-private releases (the untrusted
 // aggregator setting): privacy is preserved by post-processing but errors
 // accumulate per merge.
@@ -412,19 +349,6 @@ func (s *UserSketch) ReleaseView() (*ReleaseView, error) {
 		Vals:   vals,
 		Sens:   Sensitivity{Class: SensitivityUserLevel, K: s.inner.K()},
 	}, nil
-}
-
-// Release privatizes the sketch with the Gaussian Sparse Histogram
-// Mechanism under user-level (eps, delta)-DP (Theorem 30). Noise scales
-// with sqrt(k), independent of m.
-//
-// Deprecated: use Release(s, p, WithSeed(seed)) — gaussian is the default
-// (and only) mechanism for user-level sketches.
-func (s *UserSketch) Release(p Params, seed uint64) (Histogram, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return Release(s, p, WithMechanism(MechanismGaussian), WithSeed(seed))
 }
 
 // flattenCounts converts a counter table to flat parallel columns with the

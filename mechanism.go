@@ -236,8 +236,8 @@ func init() {
 }
 
 // viewAlg1 adapts a ReleaseView to the core.Alg1Sketch interface so the
-// single-stream mechanisms run the exact internal/core release loops —
-// draw for draw — that the deprecated per-type methods ran.
+// single-stream mechanisms run the exact internal/core release loops,
+// draw for draw.
 type viewAlg1 struct{ v *ReleaseView }
 
 func (a viewAlg1) Counters() map[stream.Item]int64 { return a.v.counts }
@@ -264,8 +264,11 @@ func mustEstimate(rel hist.Estimate, err error) Histogram {
 
 // laplaceMechanism is the paper's primary release. Single-stream: the
 // Algorithm 2 two-layer Laplace(1/eps) mechanism (raised Section 5.1
-// threshold for standard sketches). Merged: the Corollary 18 release with
-// Laplace(k/eps) per counter and a k-scaled threshold.
+// threshold for standard sketches); with probability 1-beta every estimate
+// is within 2·ln((k+1)/beta)/eps above the sketch value and within that
+// plus 1 + 2·ln(3/delta)/eps below it, and elements never seen are never
+// released. Merged: the Corollary 18 release with Laplace(k/eps) per
+// counter and a k-scaled threshold.
 type laplaceMechanism struct{}
 
 func (laplaceMechanism) Name() string { return MechanismLaplace }

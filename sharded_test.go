@@ -44,7 +44,7 @@ func TestShardedConcurrentIngest(t *testing.T) {
 			t.Errorf("item %d: estimate %d vs true %d", x, est, f[x])
 		}
 	}
-	h, err := s.Release(Params{Eps: 1, Delta: 1e-6}, 3)
+	h, err := Release(s, Params{Eps: 1, Delta: 1e-6}, WithMechanism(MechanismGaussian), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestShardedValidation(t *testing.T) {
 
 func TestShardedReleaseRejectsBadParams(t *testing.T) {
 	s := NewShardedSketch(2, 8, 10)
-	if _, err := s.Release(Params{Eps: 0, Delta: 0.1}, 1); err == nil {
+	if _, err := Release(s, Params{Eps: 0, Delta: 0.1}, WithMechanism(MechanismGaussian), WithSeed(1)); err == nil {
 		t.Error("eps=0 accepted")
 	}
 }
@@ -175,8 +175,8 @@ func TestShardedConcurrentStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < releases; i++ {
-			// ReleaseView (and the deprecated Release wrapper) must be safe
-			// to run while writers are mid-stream: each release snapshots
+			// ReleaseView (and Release on top of it) must be safe to run
+			// while writers are mid-stream: each release snapshots
 			// shard by shard under the shard locks and merges under relMu.
 			if _, err := Release(s, Params{Eps: 1, Delta: 1e-6}, WithSeed(uint64(i))); err != nil {
 				t.Errorf("concurrent release: %v", err)

@@ -4,14 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 
 	"dpmg"
 	"dpmg/internal/cluster"
+	"dpmg/internal/durable"
 )
 
 // Distributed aggregation tier (-role=edge / -role=root).
@@ -207,119 +208,73 @@ func loadClusterSeqs(root *cluster.Root, dir string) error {
 }
 
 // writeClusterSeqs persists a captured dedup table atomically and durably,
-// with the same temp/fsync/rename discipline as the manager snapshot.
+// through the same durable.WriteFile as the manager snapshot.
 func writeClusterSeqs(dir string, table []byte) error {
-	f, err := os.CreateTemp(dir, seqsFileName+".tmp-*")
-	if err != nil {
+	return durable.WriteFile(dir, seqsFileName, func(w io.Writer) error {
+		_, err := w.Write(table)
 		return err
-	}
-	tmp := f.Name()
-	cleanup := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(table); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, seqsFileName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
+	})
 }
 
 // appendClusterMetrics emits the aggregation-tier /metrics rows for the
 // server's role; standalone servers emit nothing here.
 func appendClusterMetrics(s *server, buf *bytes.Buffer) {
-	if s.clusterShipper == nil && s.clusterRoot == nil {
-		return
-	}
-	header := func(name, help, typ string) {
-		buf.WriteString("# HELP ")
-		buf.WriteString(name)
-		buf.WriteByte(' ')
-		buf.WriteString(help)
-		buf.WriteString("\n# TYPE ")
-		buf.WriteString(name)
-		buf.WriteByte(' ')
-		buf.WriteString(typ)
-		buf.WriteByte('\n')
-	}
-	row := func(name string, v int64) {
-		buf.WriteString(name)
-		buf.WriteByte(' ')
-		b := strconv.AppendInt(buf.AvailableBuffer(), v, 10)
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
 	if sh := s.clusterShipper; sh != nil {
 		stats := sh.Stats()
 		connected := int64(0)
 		if stats.Connected {
 			connected = 1
 		}
-		header("dpmg_cluster_connected", "Whether the edge has a live upstream connection.", "gauge")
-		row("dpmg_cluster_connected", connected)
-		header("dpmg_cluster_shipped_total", "Summaries the root acknowledged as folded.", "counter")
-		row("dpmg_cluster_shipped_total", stats.Shipped)
-		header("dpmg_cluster_ship_failures_total", "Retryable ship failures (refusals and broken links).", "counter")
-		row("dpmg_cluster_ship_failures_total", stats.Failures)
-		header("dpmg_cluster_cuts_total", "Local cut-and-reset extractions shipped or spooled.", "counter")
-		row("dpmg_cluster_cuts_total", stats.Cuts)
-		header("dpmg_cluster_spool_pending", "Spooled records awaiting root acknowledgment (fan-in backlog).", "gauge")
-		row("dpmg_cluster_spool_pending", stats.SpoolPending)
+		writeHeader(buf, "dpmg_cluster_connected", "Whether the edge has a live upstream connection.", "gauge")
+		writeSample(buf, "dpmg_cluster_connected", connected)
+		writeHeader(buf, "dpmg_cluster_shipped_total", "Summaries the root acknowledged as folded.", "counter")
+		writeSample(buf, "dpmg_cluster_shipped_total", stats.Shipped)
+		writeHeader(buf, "dpmg_cluster_ship_failures_total", "Retryable ship failures (refusals and broken links).", "counter")
+		writeSample(buf, "dpmg_cluster_ship_failures_total", stats.Failures)
+		writeHeader(buf, "dpmg_cluster_cuts_total", "Local cut-and-reset extractions shipped or spooled.", "counter")
+		writeSample(buf, "dpmg_cluster_cuts_total", stats.Cuts)
+		writeHeader(buf, "dpmg_cluster_spool_pending", "Spooled records awaiting root acknowledgment (fan-in backlog).", "gauge")
+		writeSample(buf, "dpmg_cluster_spool_pending", stats.SpoolPending)
 	}
 	if root := s.clusterRoot; root != nil {
 		stats := root.Stats()
-		header("dpmg_cluster_folded_total", "Summaries folded into the root's node tiers.", "counter")
-		row("dpmg_cluster_folded_total", stats.Folded)
-		header("dpmg_cluster_deduped_total", "Re-shipped sequences absorbed as duplicates.", "counter")
-		row("dpmg_cluster_deduped_total", stats.Deduped)
-		header("dpmg_cluster_edges", "Edges that have ever said hello.", "gauge")
-		row("dpmg_cluster_edges", int64(len(stats.Edges)))
-		edgeRow := func(name, edge string, v int64) {
-			buf.WriteString(name)
-			buf.WriteString(`{edge=`)
-			b := strconv.AppendQuote(buf.AvailableBuffer(), edge)
-			buf.Write(b)
-			buf.WriteString("} ")
-			b = strconv.AppendInt(buf.AvailableBuffer(), v, 10)
-			buf.Write(b)
-			buf.WriteByte('\n')
-		}
-		header("dpmg_cluster_edge_connected", "Live connections from this edge.", "gauge")
+		writeHeader(buf, "dpmg_cluster_folded_total", "Summaries folded into the root's node tiers.", "counter")
+		writeSample(buf, "dpmg_cluster_folded_total", stats.Folded)
+		writeHeader(buf, "dpmg_cluster_deduped_total", "Re-shipped sequences absorbed as duplicates.", "counter")
+		writeSample(buf, "dpmg_cluster_deduped_total", stats.Deduped)
+		writeHeader(buf, "dpmg_cluster_edges", "Edges that have ever said hello.", "gauge")
+		writeSample(buf, "dpmg_cluster_edges", int64(len(stats.Edges)))
+		writeHeader(buf, "dpmg_cluster_edge_connected", "Live connections from this edge.", "gauge")
 		for _, e := range stats.Edges {
-			edgeRow("dpmg_cluster_edge_connected", e.Edge, int64(e.Connected))
+			writeEdgeLabel(buf, "dpmg_cluster_edge_connected", e.Edge)
+			writeInt(buf, int64(e.Connected))
 		}
-		header("dpmg_cluster_edge_folded_total", "Summaries folded from this edge.", "counter")
+		writeHeader(buf, "dpmg_cluster_edge_folded_total", "Summaries folded from this edge.", "counter")
 		for _, e := range stats.Edges {
-			edgeRow("dpmg_cluster_edge_folded_total", e.Edge, e.Folded)
+			writeEdgeLabel(buf, "dpmg_cluster_edge_folded_total", e.Edge)
+			writeInt(buf, e.Folded)
 		}
-		header("dpmg_cluster_edge_deduped_total", "Duplicate sequences absorbed from this edge.", "counter")
+		writeHeader(buf, "dpmg_cluster_edge_deduped_total", "Duplicate sequences absorbed from this edge.", "counter")
 		for _, e := range stats.Edges {
-			edgeRow("dpmg_cluster_edge_deduped_total", e.Edge, e.Deduped)
+			writeEdgeLabel(buf, "dpmg_cluster_edge_deduped_total", e.Edge)
+			writeInt(buf, e.Deduped)
 		}
-		header("dpmg_cluster_edge_lag_seconds", "Seconds since this edge's most recent fold (absent until the first fold).", "gauge")
+		writeHeader(buf, "dpmg_cluster_edge_lag_seconds", "Seconds since this edge's most recent fold (absent until the first fold).", "gauge")
 		now := time.Now()
 		for _, e := range stats.Edges {
 			if e.LastFold.IsZero() {
 				continue
 			}
-			buf.WriteString(`dpmg_cluster_edge_lag_seconds{edge=`)
-			b := strconv.AppendQuote(buf.AvailableBuffer(), e.Edge)
-			buf.Write(b)
-			buf.WriteString("} ")
-			b = strconv.AppendFloat(buf.AvailableBuffer(), now.Sub(e.LastFold).Seconds(), 'g', -1, 64)
-			buf.Write(b)
-			buf.WriteByte('\n')
+			writeEdgeLabel(buf, "dpmg_cluster_edge_lag_seconds", e.Edge)
+			writeFloat(buf, now.Sub(e.LastFold).Seconds())
 		}
 	}
+}
+
+// writeEdgeLabel opens a per-edge sample line.
+func writeEdgeLabel(buf *bytes.Buffer, name, edge string) {
+	buf.WriteString(name)
+	buf.WriteString("{edge=")
+	writeQuoted(buf, edge)
+	buf.WriteString("} ")
 }

@@ -441,3 +441,65 @@ func TestAdminDrainRoot(t *testing.T) {
 		t.Fatalf("restarted root estimate(9) = %d, want 3 (2 restored + 1 fresh)", got)
 	}
 }
+
+// TestStartupSweepsStateTemps: a root killed mid-flush leaves temps of
+// both -state records behind (manager.snapshot.tmp-*, cluster.seqs.tmp-*).
+// A restart through the normal startup path must sweep every one of them
+// so crash loops cannot pile them up, and leave the records themselves —
+// snapshot, dedup table, and offloaded streams — byte-identical.
+func TestStartupSweepsStateTemps(t *testing.T) {
+	dir := t.TempDir()
+	mgr, s, ts := lifecycleTestServer(t, dir, clusterDefaults())
+	root, err := cluster.NewRoot(cluster.RootConfig{Manager: mgr, AutoCreate: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.attachRoot(root)
+	createStream(t, ts.URL, `{"name":"cold"}`)
+	post(t, ts.URL+"/v1/streams/cold/batch", batchBytes(t, []stream.Item{1, 2, 2}))
+	if evicted, err := mgr.Evict("cold"); !evicted || err != nil {
+		t.Fatalf("Evict = %v, %v", evicted, err)
+	}
+	if err := s.saveState(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	records := []string{stateFileName, seqsFileName, filepath.Join("streams", "cold.stream")}
+	before := map[string][]byte{}
+	for _, r := range records {
+		b, err := os.ReadFile(filepath.Join(dir, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[r] = b
+	}
+	temps := []string{seqsFileName + ".tmp-123", stateFileName + ".tmp-456"}
+	for _, tmp := range temps {
+		if err := os.WriteFile(filepath.Join(dir, tmp), []byte("torn"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	mgr2, _, _ := lifecycleTestServer(t, dir, clusterDefaults())
+	root2, err := cluster.NewRoot(cluster.RootConfig{Manager: mgr2, AutoCreate: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loadClusterSeqs(root2, dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, tmp := range temps {
+		if _, err := os.Stat(filepath.Join(dir, tmp)); !os.IsNotExist(err) {
+			t.Errorf("stale temp %s survived the restart (stat err %v)", tmp, err)
+		}
+	}
+	for _, r := range records {
+		b, err := os.ReadFile(filepath.Join(dir, r))
+		if err != nil || string(b) != string(before[r]) {
+			t.Errorf("record %s changed across the restart (err %v)", r, err)
+		}
+	}
+	if cold, ok := mgr2.Stream("cold"); !ok || cold.Resident() {
+		t.Errorf("offloaded stream not recovered as a cold stub (found %v)", ok)
+	}
+}

@@ -153,6 +153,102 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsGolden pins the full standalone /metrics scrape byte for byte:
+// fixed streams (one evicted, one with a spent release), no ingest listener
+// and no cluster role, so every series and value is deterministic. Any
+// change to the exposition writers must keep this text identical.
+func TestMetricsGolden(t *testing.T) {
+	defaults := dpmg.StreamConfig{K: 32, Universe: 1000, Budget: dpmg.Budget{Eps: 4, Delta: 1e-4}}
+	mgr, _, ts := lifecycleTestServer(t, t.TempDir(), defaults)
+	createStream(t, ts.URL, `{"name":"cold"}`)
+	createStream(t, ts.URL, `{"name":"hot"}`)
+	post(t, ts.URL+"/v1/streams/cold/batch", batchBytes(t, workload.Zipf(1000, 1000, 1.2, 1)))
+	post(t, ts.URL+"/v1/streams/hot/batch", batchBytes(t, workload.Zipf(500, 1000, 1.2, 2)))
+	post(t, ts.URL+"/v1/streams/hot/batch", batchBytes(t, workload.Zipf(250, 1000, 1.2, 3)))
+	post(t, ts.URL+"/v1/streams/hot/summary", summaryBytes(t, 32, 5))
+	if resp := get(t, ts.URL+"/v1/streams/hot/release?eps=1&delta=1e-5"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("release status %d", resp.StatusCode)
+	}
+	if evicted, err := mgr.Evict("cold"); !evicted || err != nil {
+		t.Fatalf("Evict = %v, %v", evicted, err)
+	}
+	if got := bodyOf(t, get(t, ts.URL+"/metrics")); got != metricsGolden {
+		t.Errorf("metrics scrape diverges from the golden:\n%s", got)
+	}
+}
+
+// metricsGolden is TestMetricsGolden's expected scrape.
+const metricsGolden = `# HELP dpmg_streams Number of managed streams (resident + offloaded).
+# TYPE dpmg_streams gauge
+dpmg_streams 3
+# HELP dpmg_streams_resident Number of streams whose counters are in RAM.
+# TYPE dpmg_streams_resident gauge
+dpmg_streams_resident 2
+# HELP dpmg_stream_items_ingested_total Raw items ingested into the stream.
+# TYPE dpmg_stream_items_ingested_total counter
+dpmg_stream_items_ingested_total{stream="cold"} 1000
+dpmg_stream_items_ingested_total{stream="default"} 0
+dpmg_stream_items_ingested_total{stream="hot"} 750
+# HELP dpmg_stream_batches_ingested_total Raw batches ingested into the stream.
+# TYPE dpmg_stream_batches_ingested_total counter
+dpmg_stream_batches_ingested_total{stream="cold"} 1
+dpmg_stream_batches_ingested_total{stream="default"} 0
+dpmg_stream_batches_ingested_total{stream="hot"} 2
+# HELP dpmg_stream_summaries_merged_total Node summaries merged into the stream aggregate.
+# TYPE dpmg_stream_summaries_merged_total counter
+dpmg_stream_summaries_merged_total{stream="cold"} 0
+dpmg_stream_summaries_merged_total{stream="default"} 0
+dpmg_stream_summaries_merged_total{stream="hot"} 1
+# HELP dpmg_stream_releases_total Private releases admitted against the stream budget.
+# TYPE dpmg_stream_releases_total counter
+dpmg_stream_releases_total{stream="cold"} 0
+dpmg_stream_releases_total{stream="default"} 0
+dpmg_stream_releases_total{stream="hot"} 1
+# HELP dpmg_stream_resident Whether the stream counters are in RAM (1) or offloaded (0).
+# TYPE dpmg_stream_resident gauge
+dpmg_stream_resident{stream="cold"} 0
+dpmg_stream_resident{stream="default"} 1
+dpmg_stream_resident{stream="hot"} 1
+# HELP dpmg_stream_evictions_total Times the stream was offloaded (since process start).
+# TYPE dpmg_stream_evictions_total counter
+dpmg_stream_evictions_total{stream="cold"} 1
+dpmg_stream_evictions_total{stream="default"} 0
+dpmg_stream_evictions_total{stream="hot"} 0
+# HELP dpmg_stream_fault_ins_total Times the stream was faulted back in (since process start).
+# TYPE dpmg_stream_fault_ins_total counter
+dpmg_stream_fault_ins_total{stream="cold"} 0
+dpmg_stream_fault_ins_total{stream="default"} 0
+dpmg_stream_fault_ins_total{stream="hot"} 0
+# HELP dpmg_stream_budget_eps_spent Epsilon spent against the stream budget.
+# TYPE dpmg_stream_budget_eps_spent gauge
+dpmg_stream_budget_eps_spent{stream="cold"} 0
+dpmg_stream_budget_eps_spent{stream="default"} 0
+dpmg_stream_budget_eps_spent{stream="hot"} 1
+# HELP dpmg_stream_budget_eps_remaining Epsilon remaining in the stream budget.
+# TYPE dpmg_stream_budget_eps_remaining gauge
+dpmg_stream_budget_eps_remaining{stream="cold"} 4
+dpmg_stream_budget_eps_remaining{stream="default"} 4
+dpmg_stream_budget_eps_remaining{stream="hot"} 3
+# HELP dpmg_stream_budget_delta_spent Delta spent against the stream budget.
+# TYPE dpmg_stream_budget_delta_spent gauge
+dpmg_stream_budget_delta_spent{stream="cold"} 0
+dpmg_stream_budget_delta_spent{stream="default"} 0
+dpmg_stream_budget_delta_spent{stream="hot"} 1e-05
+# HELP dpmg_stream_budget_delta_remaining Delta remaining in the stream budget.
+# TYPE dpmg_stream_budget_delta_remaining gauge
+dpmg_stream_budget_delta_remaining{stream="cold"} 0.0001
+dpmg_stream_budget_delta_remaining{stream="default"} 0.0001
+dpmg_stream_budget_delta_remaining{stream="hot"} 9e-05
+# HELP dpmg_stream_throttled_total Requests refused by the stream QoS ceilings.
+# TYPE dpmg_stream_throttled_total counter
+dpmg_stream_throttled_total{stream="cold",op="ingest"} 0
+dpmg_stream_throttled_total{stream="cold",op="release"} 0
+dpmg_stream_throttled_total{stream="default",op="ingest"} 0
+dpmg_stream_throttled_total{stream="default",op="release"} 0
+dpmg_stream_throttled_total{stream="hot",op="ingest"} 0
+dpmg_stream_throttled_total{stream="hot",op="release"} 0
+`
+
 // TestQoSRateLimit429 drives the per-stream ingest ceiling end to end:
 // over-rate batches get 429 with the JSON envelope and a Retry-After hint,
 // ingest nothing, and show up in the throttle counters.

@@ -32,17 +32,21 @@
 //	GET    /v1/streams/{s}/stats        JSON: merges, batches, counters,
 //	                                    remaining budget, residency,
 //	                                    lifecycle/QoS tallies
+//	GET    /v1/streams/{s}/estimate?item=
+//	                                    JSON: the bounded-stale, NON-private
+//	                                    sketch estimate for one item
+//	                                    (trusted operator surface)
 //	GET    /metrics                     Prometheus text exposition: per-
 //	                                    stream ingest/release/budget/
 //	                                    residency/throttle series (cheap:
 //	                                    no summary folds, no fault-ins,
 //	                                    does not reset stream idle TTLs)
 //
-// The original single-tenant routes (POST /v1/summary, POST /v1/batch,
-// GET /v1/release, GET /v1/stats) remain as aliases onto the "default"
-// stream, which is created at startup from the -k/-d/-eps/-delta flags —
-// same paths, status codes, and binary wire formats as before (ack bodies
-// are now JSON documents). Handler error responses are always the JSON
+// The five single-tenant routes (POST /v1/summary, POST /v1/batch,
+// GET /v1/release, GET /v1/stats, GET /v1/estimate) remain as aliases
+// onto the "default" stream, which is created at startup from the
+// -k/-d/-eps/-delta flags — same paths, status codes, and binary wire
+// formats as before (ack bodies are now JSON documents). Handler error responses are always the JSON
 // envelope {"error": "..."}; only net/http's router-level 405/404 replies
 // stay plain text.
 //

@@ -18,6 +18,7 @@ import (
 
 	"dpmg"
 	"dpmg/internal/cluster"
+	"dpmg/internal/durable"
 	"dpmg/internal/encoding"
 	"dpmg/internal/framing"
 	"dpmg/internal/stream"
@@ -779,40 +780,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	defer putRespBuf(&metricsBufPool, buf)
 	buf.Reset()
 
-	writeHeaderFor := func(name, help, typ string) {
-		buf.WriteString("# HELP ")
-		buf.WriteString(name)
-		buf.WriteByte(' ')
-		buf.WriteString(help)
-		buf.WriteString("\n# TYPE ")
-		buf.WriteString(name)
-		buf.WriteByte(' ')
-		buf.WriteString(typ)
-		buf.WriteByte('\n')
-	}
-	writeInt := func(v int64) {
-		b := buf.AvailableBuffer()
-		b = strconv.AppendInt(b, v, 10)
-		b = append(b, '\n')
-		buf.Write(b)
-	}
-	writeFloat := func(v float64) {
-		b := buf.AvailableBuffer()
-		b = strconv.AppendFloat(b, v, 'g', -1, 64)
-		b = append(b, '\n')
-		buf.Write(b)
-	}
-	writeLabel := func(name string, sm *streamSample) {
-		buf.WriteString(name)
-		buf.WriteString(sm.labels.row)
-	}
-
-	writeHeaderFor("dpmg_streams", "Number of managed streams (resident + offloaded).", "gauge")
-	buf.WriteString("dpmg_streams ")
-	writeInt(int64(len(samples)))
-	writeHeaderFor("dpmg_streams_resident", "Number of streams whose counters are in RAM.", "gauge")
-	buf.WriteString("dpmg_streams_resident ")
-	writeInt(int64(residentCount))
+	writeHeader(buf, "dpmg_streams", "Number of managed streams (resident + offloaded).", "gauge")
+	writeSample(buf, "dpmg_streams", int64(len(samples)))
+	writeHeader(buf, "dpmg_streams_resident", "Number of streams whose counters are in RAM.", "gauge")
+	writeSample(buf, "dpmg_streams_resident", int64(residentCount))
 
 	intMetrics := []struct {
 		name, help, typ string
@@ -839,10 +810,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(sm *streamSample) int64 { return sm.lifecycle.FaultIns }},
 	}
 	for _, mtr := range intMetrics {
-		writeHeaderFor(mtr.name, mtr.help, mtr.typ)
+		writeHeader(buf, mtr.name, mtr.help, mtr.typ)
 		for i := range samples {
-			writeLabel(mtr.name, &samples[i])
-			writeInt(mtr.value(&samples[i]))
+			buf.WriteString(mtr.name)
+			buf.WriteString(samples[i].labels.row)
+			writeInt(buf, mtr.value(&samples[i]))
 		}
 	}
 
@@ -860,22 +832,23 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			func(sm *streamSample) float64 { return sm.remDel }},
 	}
 	for _, mtr := range floatMetrics {
-		writeHeaderFor(mtr.name, mtr.help, "gauge")
+		writeHeader(buf, mtr.name, mtr.help, "gauge")
 		for i := range samples {
-			writeLabel(mtr.name, &samples[i])
-			writeFloat(mtr.value(&samples[i]))
+			buf.WriteString(mtr.name)
+			buf.WriteString(samples[i].labels.row)
+			writeFloat(buf, mtr.value(&samples[i]))
 		}
 	}
 
-	writeHeaderFor("dpmg_stream_throttled_total", "Requests refused by the stream QoS ceilings.", "counter")
+	writeHeader(buf, "dpmg_stream_throttled_total", "Requests refused by the stream QoS ceilings.", "counter")
 	for i := range samples {
 		sm := &samples[i]
 		buf.WriteString("dpmg_stream_throttled_total")
 		buf.WriteString(sm.labels.ingest)
-		writeInt(sm.lifecycle.ThrottledIngest)
+		writeInt(buf, sm.lifecycle.ThrottledIngest)
 		buf.WriteString("dpmg_stream_throttled_total")
 		buf.WriteString(sm.labels.release)
-		writeInt(sm.lifecycle.ThrottledReleases)
+		writeInt(buf, sm.lifecycle.ThrottledReleases)
 	}
 
 	// Streaming ingest listener (absent entirely when -ingest-addr is not
@@ -883,49 +856,33 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// addr label is a remote address, which may contain characters that
 	// need Prometheus label escaping — unlike stream names.
 	if is := s.ingest.Load(); is != nil {
-		writeHeaderFor("dpmg_ingest_connections", "Open streaming ingest connections.", "gauge")
-		buf.WriteString("dpmg_ingest_connections ")
-		writeInt(int64(is.connCount()))
-		writeHeaderFor("dpmg_ingest_accepted_total", "Streaming ingest connections accepted since start.", "counter")
-		buf.WriteString("dpmg_ingest_accepted_total ")
-		writeInt(is.accepted.Load())
-		writeHeaderFor("dpmg_ingest_frames_total", "Streaming ingest frames processed since start.", "counter")
-		buf.WriteString("dpmg_ingest_frames_total ")
-		writeInt(is.frames.Load())
-		writeHeaderFor("dpmg_ingest_items_total", "Items ingested over the streaming datapath since start.", "counter")
-		buf.WriteString("dpmg_ingest_items_total ")
-		writeInt(is.items.Load())
-		writeHeaderFor("dpmg_ingest_refusals_total", "Streaming ingest frames refused (non-OK acks) since start.", "counter")
-		buf.WriteString("dpmg_ingest_refusals_total ")
-		writeInt(is.refusals.Load())
+		writeHeader(buf, "dpmg_ingest_connections", "Open streaming ingest connections.", "gauge")
+		writeSample(buf, "dpmg_ingest_connections", int64(is.connCount()))
+		writeHeader(buf, "dpmg_ingest_accepted_total", "Streaming ingest connections accepted since start.", "counter")
+		writeSample(buf, "dpmg_ingest_accepted_total", is.accepted.Load())
+		writeHeader(buf, "dpmg_ingest_frames_total", "Streaming ingest frames processed since start.", "counter")
+		writeSample(buf, "dpmg_ingest_frames_total", is.frames.Load())
+		writeHeader(buf, "dpmg_ingest_items_total", "Items ingested over the streaming datapath since start.", "counter")
+		writeSample(buf, "dpmg_ingest_items_total", is.items.Load())
+		writeHeader(buf, "dpmg_ingest_refusals_total", "Streaming ingest frames refused (non-OK acks) since start.", "counter")
+		writeSample(buf, "dpmg_ingest_refusals_total", is.refusals.Load())
 
 		conns := is.connSamples()
 		sort.Slice(conns, func(i, j int) bool { return conns[i].id < conns[j].id })
-		connRow := func(name string, c *connSample, v int64) {
-			buf.WriteString(name)
-			buf.WriteString(`{conn="`)
-			b := strconv.AppendUint(buf.AvailableBuffer(), c.id, 10)
-			buf.Write(b)
-			buf.WriteString(`",stream=`)
-			b = strconv.AppendQuote(buf.AvailableBuffer(), c.streamName)
-			buf.Write(b)
-			buf.WriteString(`,addr=`)
-			b = strconv.AppendQuote(buf.AvailableBuffer(), c.addr)
-			buf.Write(b)
-			buf.WriteString("} ")
-			writeInt(v)
-		}
-		writeHeaderFor("dpmg_ingest_conn_frames_total", "Frames processed on this connection.", "counter")
+		writeHeader(buf, "dpmg_ingest_conn_frames_total", "Frames processed on this connection.", "counter")
 		for i := range conns {
-			connRow("dpmg_ingest_conn_frames_total", &conns[i], conns[i].frames)
+			writeConnLabels(buf, "dpmg_ingest_conn_frames_total", &conns[i])
+			writeInt(buf, conns[i].frames)
 		}
-		writeHeaderFor("dpmg_ingest_conn_items_total", "Items ingested on this connection.", "counter")
+		writeHeader(buf, "dpmg_ingest_conn_items_total", "Items ingested on this connection.", "counter")
 		for i := range conns {
-			connRow("dpmg_ingest_conn_items_total", &conns[i], conns[i].items)
+			writeConnLabels(buf, "dpmg_ingest_conn_items_total", &conns[i])
+			writeInt(buf, conns[i].items)
 		}
-		writeHeaderFor("dpmg_ingest_conn_refusals_total", "Frames refused (non-OK acks) on this connection.", "counter")
+		writeHeader(buf, "dpmg_ingest_conn_refusals_total", "Frames refused (non-OK acks) on this connection.", "counter")
 		for i := range conns {
-			connRow("dpmg_ingest_conn_refusals_total", &conns[i], conns[i].refusals)
+			writeConnLabels(buf, "dpmg_ingest_conn_refusals_total", &conns[i])
+			writeInt(buf, conns[i].refusals)
 		}
 	}
 
@@ -935,14 +892,67 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Write(buf.Bytes()) //nolint:errcheck // response already committed
 }
 
+// The Prometheus text-exposition writers every /metrics series goes
+// through. A sample line is its name and label set (which ends in a
+// space) followed by writeInt or writeFloat, which end the line. Values
+// are appended through the buffer's spare capacity, so a scrape into a
+// pooled buffer allocates nothing here.
+
+// writeHeader writes the # HELP and # TYPE lines that open a series.
+func writeHeader(buf *bytes.Buffer, name, help, typ string) {
+	buf.WriteString("# HELP ")
+	buf.WriteString(name)
+	buf.WriteByte(' ')
+	buf.WriteString(help)
+	buf.WriteString("\n# TYPE ")
+	buf.WriteString(name)
+	buf.WriteByte(' ')
+	buf.WriteString(typ)
+	buf.WriteByte('\n')
+}
+
+// writeSample writes one unlabelled integer sample line.
+func writeSample(buf *bytes.Buffer, name string, v int64) {
+	buf.WriteString(name)
+	buf.WriteByte(' ')
+	writeInt(buf, v)
+}
+
+// writeInt ends a sample line with an integer value.
+func writeInt(buf *bytes.Buffer, v int64) {
+	b := strconv.AppendInt(buf.AvailableBuffer(), v, 10)
+	buf.Write(append(b, '\n'))
+}
+
+// writeFloat ends a sample line with a float value.
+func writeFloat(buf *bytes.Buffer, v float64) {
+	b := strconv.AppendFloat(buf.AvailableBuffer(), v, 'g', -1, 64)
+	buf.Write(append(b, '\n'))
+}
+
+// writeQuoted writes a label value quoted and escaped.
+func writeQuoted(buf *bytes.Buffer, v string) {
+	buf.Write(strconv.AppendQuote(buf.AvailableBuffer(), v))
+}
+
+// writeConnLabels opens a per-connection ingest sample line.
+func writeConnLabels(buf *bytes.Buffer, name string, c *connSample) {
+	buf.WriteString(name)
+	buf.WriteString(`{conn="`)
+	buf.Write(strconv.AppendUint(buf.AvailableBuffer(), c.id, 10))
+	buf.WriteString(`",stream=`)
+	writeQuoted(buf, c.streamName)
+	buf.WriteString(`,addr=`)
+	writeQuoted(buf, c.addr)
+	buf.WriteString("} ")
+}
+
 // stateFileName is the manager snapshot file inside the -state directory.
 const stateFileName = "manager.snapshot"
 
-// saveState writes the manager snapshot atomically and durably: a
-// uniquely named temp file is written, synced, and renamed over the
-// snapshot, then the directory itself is synced — rename alone is only
-// atomic, not durable, and a power cut could otherwise silently roll back
-// to the previous snapshot after saveState reported success. Calls are
+// saveState writes the manager snapshot atomically and durably through
+// durable.WriteFile, so a power cut can never silently roll back to the
+// previous snapshot after saveState reported success. Calls are
 // serialized — the periodic flusher and the final shutdown flush can
 // otherwise overlap (the ticker goroutine may already be inside a flush
 // when the signal arrives) and must not interleave writes.
@@ -974,57 +984,26 @@ func (s *server) saveState(dir string) error {
 	return s.writeSnapshot(dir)
 }
 
-// writeSnapshot writes the manager snapshot with the temp/sync/rename/
-// sync-dir discipline; saveState holds the flush mutex (and, on a root,
-// the fold quiesce) around it.
+// writeSnapshot streams the manager snapshot through durable.WriteFile;
+// saveState holds the flush mutex (and, on a root, the fold quiesce)
+// around it.
 func (s *server) writeSnapshot(dir string) error {
-	f, err := os.CreateTemp(dir, stateFileName+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := s.mgr.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, stateFileName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a completed rename inside it survives a
-// crash (the dpmg.DirStore applies the same discipline to offload
-// records).
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
+	return durable.WriteFile(dir, stateFileName, s.mgr.Snapshot)
 }
 
 // loadOrNewManager restores the manager from dir's snapshot if one exists,
-// otherwise starts fresh. restored reports which happened. Stale temp
-// files from flushes interrupted by a hard crash (the rename never ran)
-// are swept first so they cannot accumulate across crash loops.
+// otherwise starts fresh. restored reports which happened. Stale temps of
+// every record in dir (the snapshot and a root's dedup table) left by
+// writes interrupted by a hard crash are swept first, so they cannot
+// accumulate across crash loops.
 func loadOrNewManager(dir string, defaults dpmg.StreamConfig) (mgr *dpmg.Manager, restored bool, err error) {
 	if dir != "" {
-		if stale, _ := filepath.Glob(filepath.Join(dir, stateFileName+".tmp-*")); len(stale) > 0 {
-			for _, p := range stale {
-				os.Remove(p)
+		// Best effort: a missing dir is a fresh start, and any other read
+		// error resurfaces at the Open below.
+		entries, _ := os.ReadDir(dir)
+		for _, e := range entries {
+			if !e.IsDir() && durable.IsTemp(e.Name()) {
+				os.Remove(filepath.Join(dir, e.Name()))
 			}
 		}
 		path := filepath.Join(dir, stateFileName)

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
+	"dpmg/internal/durable"
 	"dpmg/internal/encoding"
 	"dpmg/internal/mg"
 )
@@ -54,13 +56,14 @@ import (
 // a crash right after a fault-in degrades to the usual at-most-one-
 // snapshot-interval durability window instead of losing the stream.
 //
-// Both durable writers — DirStore.Save here and the server's snapshot
-// flush — follow write-temp, fsync file, rename, fsync directory. The
-// final directory fsync is what makes the rename itself crash-durable:
-// without it a power cut can roll the directory back to a state where the
-// freshly renamed record never existed, which for an offloaded stream
-// means silent, total loss (the in-memory counters were already dropped).
-// Once Save returns, the record is guaranteed to survive a crash.
+// Every durable record — offload records here, the server's snapshot and
+// dedup table, the edge spool — is written by internal/durable.WriteFile:
+// write-temp, fsync file, rename, fsync directory. The final directory
+// fsync is what makes the rename itself crash-durable: without it a power
+// cut can roll the directory back to a state where the freshly renamed
+// record never existed, which for an offloaded stream means silent, total
+// loss (the in-memory counters were already dropped). Once Save returns,
+// the record is guaranteed to survive a crash.
 //
 // Fault-in failures are a distinct error class from bad client input:
 // every path out of faultInLocked wraps ErrFaultIn, and serving layers
@@ -115,8 +118,8 @@ type OffloadStore interface {
 }
 
 // DirStore is the file-backed OffloadStore: one <name>.stream file per
-// record inside a directory, written with the atomic temp-file-and-rename
-// discipline so a crash mid-save never clobbers the previous good record.
+// record inside a directory, written through durable.WriteFile so a crash
+// mid-save never clobbers the previous good record.
 // Stream names validated by the manager ([a-zA-Z0-9._-], leading
 // alphanumeric) are safe as file names.
 type DirStore struct {
@@ -143,50 +146,15 @@ func (d *DirStore) path(name string) string {
 	return filepath.Join(d.dir, name+streamFileSuffix)
 }
 
-// Save implements OffloadStore with write-to-temp, sync, rename, and a
-// final fsync of the directory itself. The directory sync is load-bearing
-// for eviction durability: rename alone only updates the in-memory dentry
-// cache, so a power cut shortly after an offload could silently lose the
-// record — fatal for an evicted stream whose in-memory counters were
-// already dropped. Syncing the parent directory persists the rename, so
-// once Save returns the record survives a crash.
+// Save implements OffloadStore through durable.WriteFile. The directory
+// fsync it ends with is load-bearing for eviction durability: an evicted
+// stream's in-memory counters are already dropped, so once Save returns
+// the record must survive a crash.
 func (d *DirStore) Save(name string, data []byte) error {
-	f, err := os.CreateTemp(d.dir, name+streamFileSuffix+".tmp-*")
-	if err != nil {
+	return durable.WriteFile(d.dir, name+streamFileSuffix, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, d.path(name)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(d.dir)
-}
-
-// syncDir fsyncs a directory so a just-completed rename inside it is
-// durable, not merely visible. Shared by DirStore.Save and the server's
-// snapshot flush.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return f.Sync()
+	})
 }
 
 // Load implements OffloadStore.
@@ -203,12 +171,8 @@ func (d *DirStore) Delete(name string) error {
 }
 
 // List implements OffloadStore. Stale temp files from interrupted saves
-// are ignored (and swept, so crash loops cannot accumulate them). The
-// record check runs first: dots and dashes are legal in stream names after
-// the first character, so a name like "a.stream.tmp-1" produces a record
-// file containing the temp-file marker — but only real temps end in
-// CreateTemp's random digits, never in the ".stream" suffix every record
-// carries, so the suffix cleanly separates the two.
+// (durable.IsTemp) are ignored and swept, so crash loops cannot accumulate
+// them.
 func (d *DirStore) List() ([]string, error) {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -220,12 +184,12 @@ func (d *DirStore) List() ([]string, error) {
 			continue
 		}
 		n := e.Name()
-		if strings.HasSuffix(n, streamFileSuffix) {
-			names = append(names, strings.TrimSuffix(n, streamFileSuffix))
+		if durable.IsTemp(n) {
+			os.Remove(filepath.Join(d.dir, n))
 			continue
 		}
-		if strings.Contains(n, streamFileSuffix+".tmp-") {
-			os.Remove(filepath.Join(d.dir, n))
+		if name, ok := strings.CutSuffix(n, streamFileSuffix); ok {
+			names = append(names, name)
 		}
 	}
 	return names, nil

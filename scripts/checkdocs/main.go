@@ -38,6 +38,7 @@ var defaultGate = []string{
 	"internal/cluster",
 	"internal/continual",
 	"internal/core",
+	"internal/durable",
 	"internal/encoding",
 	"internal/framing",
 	"internal/gshm",
